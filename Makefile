@@ -8,19 +8,20 @@ COVER_MIN ?= 85
 # Per-target budget of the fuzz smoke in the check gate.
 FUZZTIME ?= 10s
 
-.PHONY: check build vet test test-race cover fuzz-smoke codec-smoke vector-smoke batch-smoke fault-smoke edit-smoke docs-check lint lint-fixtures bench
+.PHONY: check build vet test test-race cover fuzz-smoke codec-smoke vector-smoke batch-smoke fault-smoke edit-smoke bench-test docs-check lint lint-fixtures bench
 
 # The tier-1 verification gate: everything must compile, vet clean, pass,
 # stay race-free under the concurrent serving load tests, hold the
 # coverage floor on the core packages, survive a short fuzz smoke of the
 # parser and the wire codec, prove the binary codec agrees with gob on
 # the fixed message corpus, prove the vector Stage-1 evaluator is
-# byte-identical to the scalar one, prove multi-query batching is
+# byte-identical to the scalar oracle, prove multi-query batching is
 # answer- and cost-transparent, prove failover keeps answers
 # byte-identical to centralized evaluation on a seeded fault schedule
-# over both transports, keep the documentation honest, and hold the
-# machine-checked invariants of tools/paxlint.
-check: build vet test test-race cover codec-smoke vector-smoke batch-smoke fault-smoke edit-smoke fuzz-smoke docs-check lint
+# over both transports, build and test the servebench module, keep the
+# documentation honest, and hold the machine-checked invariants of
+# tools/paxlint.
+check: build vet test test-race cover codec-smoke vector-smoke batch-smoke fault-smoke edit-smoke bench-test fuzz-smoke docs-check lint
 
 build:
 	$(GO) build ./...
@@ -96,6 +97,13 @@ edit-smoke:
 	$(GO) test -run='TestEditSmoke' ./internal/harness
 	$(GO) test -run='TestEditVersionProtocol|TestEditOneVersionAnswersAndStalePut' ./internal/pax
 	$(GO) test -run='TestApplyEdit' .
+
+# Benchmark module gate: servebench is a Go module of its own (it replaces
+# paxq with the checkout) that imports pax internals, so the root
+# `go test ./...` never builds it. Build and test it here, so a change to
+# those internals cannot break the benchmark unnoticed.
+bench-test:
+	cd servebench && $(GO) test ./...
 
 # Documentation gate: vet plus tools/docscheck, which fails on exported
 # identifiers of the public paxq package missing doc comments, on cmd/*

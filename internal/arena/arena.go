@@ -1,6 +1,7 @@
 package arena
 
 import (
+	"slices"
 	"strconv"
 
 	"paxq/internal/xmltree"
@@ -16,8 +17,6 @@ type Tree struct {
 
 	// LabelID is the interned label per element node, -1 for text nodes.
 	LabelID []int32
-	// Text is the character data per text node, "" for element nodes.
-	Text []string
 	// Parent, FirstChild and NextSibling encode the tree structure.
 	Parent      []int32
 	FirstChild  []int32
@@ -25,17 +24,20 @@ type Tree struct {
 	// SubtreeEnd is the exclusive preorder end of node i's subtree: the
 	// descendants of i are exactly the indices in (i, SubtreeEnd[i]).
 	SubtreeEnd []int32
-	// Value and NumVal are the precomputed string and numeric values of
-	// every element node (xmltree.Node.Value / NumValue semantics); NumOK
-	// marks the elements whose value parses as a number.
+	// Value is the precomputed string value of every element node
+	// (xmltree.Node.Value semantics) and the raw character data of every
+	// text node — one string column for both kinds. NumVal is the numeric
+	// value of every element node; NumOK marks the elements whose value
+	// parses as a number.
 	Value  []string
 	NumVal []float64
 	NumOK  Bitset
 
-	// attrOff/attrs store element attributes flat: node i's attributes are
-	// attrs[attrOff[i]:attrOff[i+1]].
-	attrOff []int32
-	attrs   []xmltree.Attr
+	// Attributes are sparse (most nodes carry none), so they are stored
+	// per attributed node rather than per node: attrNodes lists those
+	// nodes ascending and attrLists[k] holds attrNodes[k]'s attributes.
+	attrNodes []int32
+	attrLists [][]xmltree.Attr
 
 	labels     []string         // label id -> label
 	labelIDs   map[string]int32 // label -> label id
@@ -52,7 +54,6 @@ func FromTree(t *xmltree.Tree) *Tree {
 	a := &Tree{
 		n:           n,
 		LabelID:     make([]int32, n),
-		Text:        make([]string, n),
 		Parent:      make([]int32, n),
 		FirstChild:  make([]int32, n),
 		NextSibling: make([]int32, n),
@@ -60,7 +61,6 @@ func FromTree(t *xmltree.Tree) *Tree {
 		Value:       make([]string, n),
 		NumVal:      make([]float64, n),
 		NumOK:       NewBitset(n),
-		attrOff:     make([]int32, n+1),
 		labelIDs:    make(map[string]int32),
 		elements:    NewBitset(n),
 		emptyMask:   NewBitset(n),
@@ -85,7 +85,6 @@ func FromTree(t *xmltree.Tree) *Tree {
 				a.NextSibling[c.ID] = int32(nd.Children[ci+1].ID)
 			}
 		}
-		a.attrOff[i] = int32(len(a.attrs))
 		if nd.Kind == xmltree.Element {
 			a.elements.Set(i)
 			id, ok := a.labelIDs[nd.Label]
@@ -97,7 +96,7 @@ func FromTree(t *xmltree.Tree) *Tree {
 			}
 			a.LabelID[i] = id
 			a.labelMasks[id].Set(i)
-			a.attrs = append(a.attrs, nd.Attrs...)
+			a.addAttrs(i, nd.Attrs)
 			v := nd.Value()
 			a.Value[i] = v
 			if f, err := strconv.ParseFloat(v, 64); err == nil {
@@ -106,10 +105,9 @@ func FromTree(t *xmltree.Tree) *Tree {
 			}
 		} else {
 			a.LabelID[i] = -1
-			a.Text[i] = nd.Data
+			a.Value[i] = nd.Data
 		}
 	}
-	a.attrOff[n] = int32(len(a.attrs))
 	// SubtreeEnd in reverse preorder: a leaf's subtree ends right after it;
 	// an inner node's subtree ends where its last child's does.
 	for i := n - 1; i >= 0; i-- {
@@ -131,7 +129,22 @@ func (a *Tree) LabelOf(i int) string { return a.labels[a.LabelID[i]] }
 
 // Attrs returns element node i's attributes. Callers must not mutate the
 // returned slice.
-func (a *Tree) Attrs(i int) []xmltree.Attr { return a.attrs[a.attrOff[i]:a.attrOff[i+1]] }
+func (a *Tree) Attrs(i int) []xmltree.Attr {
+	if k, ok := slices.BinarySearch(a.attrNodes, int32(i)); ok {
+		return a.attrLists[k]
+	}
+	return nil
+}
+
+// addAttrs records node i's attributes; nodes must be added in ascending
+// order. The list shares attrs' backing array, capped so that appending to
+// either side never writes into the other.
+func (a *Tree) addAttrs(i int, attrs []xmltree.Attr) {
+	if len(attrs) > 0 {
+		a.attrNodes = append(a.attrNodes, int32(i))
+		a.attrLists = append(a.attrLists, attrs[:len(attrs):len(attrs)])
+	}
+}
 
 // Elements returns the mask of element nodes. Callers must not mutate it.
 func (a *Tree) Elements() Bitset { return a.elements }
@@ -157,7 +170,7 @@ func (a *Tree) ToTree() *xmltree.Tree {
 				nd.Attrs = append([]xmltree.Attr(nil), attrs...)
 			}
 		} else {
-			nd = xmltree.NewText(a.Text[i])
+			nd = xmltree.NewText(a.Value[i])
 		}
 		built[i] = nd
 		// Preorder guarantees a parent precedes its children and siblings

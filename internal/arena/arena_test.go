@@ -45,7 +45,7 @@ func requireRoundTrip(t *testing.T, tag string, tree *xmltree.Tree) {
 			if ok != a.NumOK.Get(i) || (ok && nv != a.NumVal[i]) {
 				t.Fatalf("%s: node %d: numeric column mismatch", tag, i)
 			}
-		} else if a.Elements().Get(i) || a.Text[i] != nd.Data {
+		} else if a.Elements().Get(i) || a.Value[i] != nd.Data {
 			t.Fatalf("%s: node %d: text column mismatch", tag, i)
 		}
 		// Subtree interval = preorder descendants.

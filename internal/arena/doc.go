@@ -1,11 +1,12 @@
 // Package arena provides a columnar, cache-friendly layout for frozen
-// xmltree documents: every per-node attribute lives in a contiguous array
+// xmltree documents: every per-node property lives in a contiguous array
 // indexed by preorder rank, so the Stage-1 qualifier pass can run as
 // word-at-a-time sweeps over bit-packed masks instead of a pointer chase
 // over *xmltree.Node structs.
 //
-// A Tree stores, per node: the interned label id (elements), the character
-// data (text nodes), and the parent / first-child / next-sibling /
+// A Tree stores, per node: the interned label id (elements), one string
+// column holding the string value (elements) or the character data (text
+// nodes), and the parent / first-child / next-sibling /
 // subtree-end indices that make both structural axes of the paper's XPath
 // fragment X answerable by index arithmetic. Because xmltree.Tree.Freeze
 // assigns dense preorder IDs, the arena index of a node IS its

@@ -2,6 +2,7 @@ package arena
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -155,7 +156,6 @@ func (a *Tree) splice(at, oldLen int, parent, prev, next int32, repl *xmltree.No
 	b := &Tree{
 		n:           n2,
 		LabelID:     make([]int32, n2),
-		Text:        make([]string, n2),
 		Parent:      make([]int32, n2),
 		FirstChild:  make([]int32, n2),
 		NextSibling: make([]int32, n2),
@@ -163,7 +163,6 @@ func (a *Tree) splice(at, oldLen int, parent, prev, next int32, repl *xmltree.No
 		Value:       make([]string, n2),
 		NumVal:      make([]float64, n2),
 		NumOK:       SpliceBits(a.NumOK, at, oldLen, newLen, a.n),
-		attrOff:     make([]int32, n2+1),
 		labels:      append([]string(nil), a.labels...),
 		labelIDs:    make(map[string]int32, len(a.labelIDs)),
 		elements:    SpliceBits(a.elements, at, oldLen, newLen, a.n),
@@ -177,14 +176,15 @@ func (a *Tree) splice(at, oldLen int, parent, prev, next int32, repl *xmltree.No
 		b.labelMasks[i] = SpliceBits(m, at, oldLen, newLen, a.n)
 	}
 
-	// Attribute storage: cut the removed interval's flat attrs, make room
-	// for the inserted ones.
-	cutStart, cutEnd := a.attrOff[at], a.attrOff[at+oldLen]
-	attrShift := int32(0) // applied to attrOff entries past the interval, set below
+	// Attributed nodes before the interval keep their index; those inside
+	// it are cut; the inserted ones and then the shifted rest follow below.
+	cutStart, _ := slices.BinarySearch(a.attrNodes, int32(at))
+	cutEnd, _ := slices.BinarySearch(a.attrNodes, int32(at+oldLen))
+	b.attrNodes = append(b.attrNodes, a.attrNodes[:cutStart]...)
+	b.attrLists = append(b.attrLists, a.attrLists[:cutStart]...)
 
 	copyCols := func(oldJ, newJ int) {
 		b.LabelID[newJ] = a.LabelID[oldJ]
-		b.Text[newJ] = a.Text[oldJ]
 		b.Parent[newJ] = mapIdx(a.Parent[oldJ])
 		b.FirstChild[newJ] = mapIdx(a.FirstChild[oldJ])
 		b.NextSibling[newJ] = mapIdx(a.NextSibling[oldJ])
@@ -194,9 +194,7 @@ func (a *Tree) splice(at, oldLen int, parent, prev, next int32, repl *xmltree.No
 	}
 	for j := 0; j < at; j++ {
 		copyCols(j, j)
-		b.attrOff[j] = a.attrOff[j]
 	}
-	b.attrs = append(b.attrs, a.attrs[:cutStart]...)
 
 	// The inserted interval.
 	sizes := make([]int32, newLen) // subtree sizes, computed leaf-up
@@ -213,7 +211,6 @@ func (a *Tree) splice(at, oldLen int, parent, prev, next int32, repl *xmltree.No
 	for k := 0; k < newLen; k++ {
 		j := at + k
 		nd := flat[k]
-		b.attrOff[j] = int32(len(b.attrs))
 		if relParent[k] >= 0 {
 			b.Parent[j] = int32(at) + relParent[k]
 		} else {
@@ -237,7 +234,7 @@ func (a *Tree) splice(at, oldLen int, parent, prev, next int32, repl *xmltree.No
 			}
 			b.LabelID[j] = id
 			b.labelMasks[id].Set(j)
-			b.attrs = append(b.attrs, nd.Attrs...)
+			b.addAttrs(j, nd.Attrs)
 			v := nd.Value()
 			b.Value[j] = v
 			if f, err := strconv.ParseFloat(v, 64); err == nil {
@@ -246,17 +243,16 @@ func (a *Tree) splice(at, oldLen int, parent, prev, next int32, repl *xmltree.No
 			}
 		} else {
 			b.LabelID[j] = -1
-			b.Text[j] = nd.Data
+			b.Value[j] = nd.Data
 		}
 	}
-	attrShift = int32(len(b.attrs)) - cutEnd
-
 	for j := at + oldLen; j < a.n; j++ {
 		copyCols(j, j+delta)
-		b.attrOff[j+delta] = a.attrOff[j] + attrShift
 	}
-	b.attrs = append(b.attrs, a.attrs[cutEnd:]...)
-	b.attrOff[n2] = int32(len(b.attrs))
+	for k := cutEnd; k < len(a.attrNodes); k++ {
+		b.attrNodes = append(b.attrNodes, a.attrNodes[k]+int32(delta))
+		b.attrLists = append(b.attrLists, a.attrLists[k])
+	}
 
 	// Rewire the child list around the splice point. Pure deletion: the
 	// interval leaves the chain. Insertion: the new root enters it.
@@ -276,14 +272,20 @@ func (a *Tree) splice(at, oldLen int, parent, prev, next int32, repl *xmltree.No
 	}
 	// The splice parent's string value depends on its immediate text
 	// children, which the edit may have changed; recompute it from the
-	// rewired child chain.
-	var sb strings.Builder
-	for c := b.FirstChild[parent]; c >= 0; c = b.NextSibling[c] {
-		if !b.elements.Get(int(c)) {
-			sb.WriteString(b.Text[c])
+	// rewired child chain (xmltree.Node.Value semantics, including its
+	// copy-free single-text-child case).
+	var v string
+	if c := b.FirstChild[parent]; c >= 0 && b.NextSibling[c] < 0 && !b.elements.Get(int(c)) {
+		v = strings.TrimSpace(b.Value[c])
+	} else {
+		var sb strings.Builder
+		for c := b.FirstChild[parent]; c >= 0; c = b.NextSibling[c] {
+			if !b.elements.Get(int(c)) {
+				sb.WriteString(b.Value[c])
+			}
 		}
+		v = strings.TrimSpace(sb.String())
 	}
-	v := strings.TrimSpace(sb.String())
 	b.Value[parent] = v
 	b.NumVal[parent] = 0
 	b.NumOK.Clear(int(parent))
@@ -343,7 +345,7 @@ func Equal(a, b *Tree) bool {
 	for i := 0; i < a.n; i++ {
 		if a.Parent[i] != b.Parent[i] || a.FirstChild[i] != b.FirstChild[i] ||
 			a.NextSibling[i] != b.NextSibling[i] || a.SubtreeEnd[i] != b.SubtreeEnd[i] ||
-			a.Text[i] != b.Text[i] || a.Value[i] != b.Value[i] || a.NumVal[i] != b.NumVal[i] ||
+			a.Value[i] != b.Value[i] || a.NumVal[i] != b.NumVal[i] ||
 			a.NumOK.Get(i) != b.NumOK.Get(i) || a.elements.Get(i) != b.elements.Get(i) {
 			return false
 		}

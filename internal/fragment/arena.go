@@ -21,10 +21,12 @@ type ArenaView struct {
 	SpineMask   arena.Bitset
 }
 
-// Arena returns the fragment's columnar view, built on first use and
-// cached. Fragments are immutable once a site serves them (the same
-// contract the Stage-1 cache relies on — see pax.BumpCacheGeneration), so
-// the cached view never goes stale; it is safe for concurrent readers.
+// Arena returns the fragment's columnar view, built on first use (a site's
+// first Stage-1 pass over the fragment) and cached. A Fragment value is
+// never mutated: edits are copy-on-write — ApplyEdit forces the old
+// fragment's arena, splices it into the new Fragment it returns and leaves
+// the receiver untouched — so the cached view never goes stale and is safe
+// for concurrent readers.
 func (f *Fragment) Arena() *ArenaView {
 	f.arenaOnce.Do(func() {
 		at := arena.FromTree(f.Tree)

@@ -62,15 +62,11 @@ type Edit struct {
 // EditDelta describes the renumbering an applied edit performed: the
 // preorder interval [At, At+OldLen) of the old tree was replaced by
 // [At, At+NewLen) in the new tree, so an old node ID j maps to j when
-// j < At and to j+NewLen-OldLen when j >= At+OldLen. Labels is the edit's
-// label footprint — the element labels removed and inserted (for a rename,
-// the old and new label) — which is what delta-scoped cache invalidation
-// intersects with a query's label set.
+// j < At and to j+NewLen-OldLen when j >= At+OldLen.
 type EditDelta struct {
 	At     xmltree.NodeID
 	OldLen int
 	NewLen int
-	Labels []string
 }
 
 // Shift returns delta's node-count change.
@@ -131,16 +127,11 @@ func (f *Fragment) ApplyEdit(e Edit) (*Fragment, EditDelta, error) {
 		if e.Op == EditDelete {
 			at := int(e.Node)
 			delta = EditDelta{At: e.Node, OldLen: int(av.Tree.SubtreeEnd[at]) - at}
-			for j := at; j < at+delta.OldLen; j++ {
-				if av.Tree.Elements().Get(j) {
-					delta.Labels = append(delta.Labels, av.Tree.LabelOf(j))
-				}
-			}
 		} else {
 			if err := checkLabel(e.Label); err != nil {
 				return nil, zero, fmt.Errorf("fragment %d: rename node %d: %w", f.ID, e.Node, err)
 			}
-			delta = EditDelta{At: e.Node, OldLen: 1, NewLen: 1, Labels: []string{n.Label, e.Label}}
+			delta = EditDelta{At: e.Node, OldLen: 1, NewLen: 1}
 		}
 	case EditInsert:
 		if e.Pos < 0 || e.Pos > len(n.Children) {
@@ -158,9 +149,6 @@ func (f *Fragment) ApplyEdit(e Edit) (*Fragment, EditDelta, error) {
 		var count func(nd *xmltree.Node)
 		count = func(nd *xmltree.Node) {
 			delta.NewLen++
-			if nd.Kind == xmltree.Element {
-				delta.Labels = append(delta.Labels, nd.Label)
-			}
 			for _, c := range nd.Children {
 				count(c)
 			}
@@ -169,7 +157,6 @@ func (f *Fragment) ApplyEdit(e Edit) (*Fragment, EditDelta, error) {
 	default:
 		return nil, zero, fmt.Errorf("fragment %d: op %d: %w", f.ID, uint8(e.Op), ErrBadOp)
 	}
-	delta.Labels = dedupe(delta.Labels)
 
 	// Apply to a structural clone of the pointer tree. The clone's Freeze
 	// assigns the same IDs as the original (identical structure), so the
@@ -263,18 +250,6 @@ func checkSubtree(s *xmltree.Node) error {
 		return nil
 	}
 	return walk(s)
-}
-
-func dedupe(labels []string) []string {
-	seen := make(map[string]bool, len(labels))
-	out := labels[:0]
-	for _, l := range labels {
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
-		}
-	}
-	return out
 }
 
 // ApplyEdit applies an edit to fragment fid of the fragmentation in place:

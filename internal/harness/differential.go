@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -9,9 +10,11 @@ import (
 	"sync"
 	"time"
 
+	"paxq/internal/boolexpr"
 	"paxq/internal/centeval"
 	"paxq/internal/dist"
 	"paxq/internal/fragment"
+	"paxq/internal/parbox"
 	"paxq/internal/pax"
 	"paxq/internal/testutil"
 	"paxq/internal/xmark"
@@ -25,7 +28,10 @@ import (
 // of times — on randomized (tree, query, fragmentation) instances, over
 // the real transports. Every case also cross-checks parallel against
 // sequential site-side fragment evaluation: parallelism may change wall
-// time only, never the answer, the visit counts or the byte totals.
+// time only, never the answer, the visit counts or the byte totals. And
+// every case checks each fragment's Stage-1 pass, as the primary's sites
+// run and ship it, against the scalar reference pass
+// parbox.EvalQualFragment (checkStage1).
 
 // DiffTransport selects how the differential cluster is deployed.
 type DiffTransport int
@@ -68,14 +74,6 @@ type DiffOptions struct {
 	// by then other queries have run, so replays mix hits and re-misses)
 	// against a fresh uncached evaluation.
 	CompareCache bool
-	// CompareVector additionally evaluates every case on a vector-evaluator
-	// twin (WithSiteVectorEval) and on a vector+site-cache twin — the
-	// latter evaluated twice per case (miss-then-hit) and replayed once
-	// more after the whole batch (interleaved schedule) — and requires
-	// answers, visit counts AND byte totals identical to the scalar
-	// primary: the two Stage-1 evaluators must be indistinguishable from
-	// the wire, cold and cache-warm alike.
-	CompareVector bool
 	// CompareBatch additionally evaluates every case on a twin whose
 	// engine runs a multi-query batching window (WithBatchWindow). The
 	// serial per-case runs exercise the batch-of-one path, which must be
@@ -110,14 +108,14 @@ type DiffResult struct {
 	CacheCases     int // cached-twin evaluations compared against uncached
 	CacheDiffs     int // cached vs uncached disagreed (answers/visits/bytes)
 	CacheHits      int // Stage-1 cache hits observed across cached twins
-	VectorCases    int // vector-twin evaluations compared against scalar
-	VectorDiffs    int // vector vs scalar disagreed (answers/visits/bytes)
+	VectorCases    int // per-fragment Stage-1 passes checked against the scalar oracle
+	VectorDiffs    int // site Stage-1 pass disagreed with the oracle (root bytes/SelQual/Work)
 	BatchCases     int // batching-twin evaluations (serial and concurrent)
 	BatchDiffs     int // batch twin diverged, or its ledgers failed to conserve
 	EditCases      int // mutation-phase evaluations (scoped and bump twins)
 	EditDiffs      int // post-edit divergence from the rebuilt oracle, twin disagreement, edit failure, or ledger violation
 	EditsApplied   int // fragment edits driven through the engines
-	EditRetained   int // cache entries surviving delta-scoped invalidation (remapped or patched)
+	EditRetained   int // cache entries surviving delta-scoped invalidation (patched)
 	MaxVisitsPaX3  int
 	MaxVisitsPaX2  int
 	FailureDetails []string // first few failures, for the test log
@@ -159,7 +157,7 @@ func (r *DiffResult) Ok() bool {
 }
 
 func (r *DiffResult) String() string {
-	return fmt.Sprintf("differential: %d evaluations over %d triples — %d mismatches, %d visit-bound violations, %d parallel/sequential divergences, %d codec/simplify divergences, %d/%d cached-twin divergences (%d cache hits), %d/%d vector-twin divergences, %d/%d batch-twin divergences, %d/%d edit-twin divergences (%d edits applied, %d entries scope-retained) (max visits: PaX3 %d, PaX2 %d)",
+	return fmt.Sprintf("differential: %d evaluations over %d triples — %d mismatches, %d visit-bound violations, %d parallel/sequential divergences, %d codec/simplify divergences, %d/%d cached-twin divergences (%d cache hits), %d/%d Stage-1 oracle divergences, %d/%d batch-twin divergences, %d/%d edit-twin divergences (%d edits applied, %d entries scope-retained) (max visits: PaX3 %d, PaX2 %d)",
 		r.Cases, r.Triples, r.Mismatches, r.BoundExceeded, r.ParallelDiffs, r.CodecDiffs, r.CacheDiffs, r.CacheCases, r.CacheHits, r.VectorDiffs, r.VectorCases, r.BatchDiffs, r.BatchCases, r.EditDiffs, r.EditCases, r.EditsApplied, r.EditRetained, r.MaxVisitsPaX3, r.MaxVisitsPaX2)
 }
 
@@ -275,13 +273,14 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 		return pax.NewEngine(topo, local, engOpts...), sites, local, func() {}, nil
 	}
 	var eng, seqEng *pax.Engine
+	var sites []*pax.Site
 	{
-		e, _, _, shutdown, err := buildEngine(nil, pax.SiteParallelism(4))
+		e, ss, _, shutdown, err := buildEngine(nil, pax.SiteParallelism(4))
 		if err != nil {
 			return nil, fmt.Errorf("harness: seed %d: %w", seed, err)
 		}
 		defer shutdown()
-		eng = e
+		eng, sites = e, ss
 	}
 	if opts.CompareParallel {
 		e, _, _, shutdown, err := buildEngine(nil, pax.SiteParallelism(1))
@@ -340,25 +339,6 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 		}
 		defer tshutdown()
 	}
-	// Vector twins: the bit-packed columnar Stage-1 evaluator, alone and
-	// combined with a warm site cache. Byte-identity of the vector pass
-	// means both must be indistinguishable from the scalar primary in
-	// answers, visit counts and wire bytes — cold and cache-served alike.
-	var vecEng, vecCacheEng *pax.Engine
-	if opts.CompareVector {
-		var vshutdown, vcshutdown func()
-		var err error
-		vecEng, _, _, vshutdown, err = buildEngine(nil, pax.SiteParallelism(4), pax.WithSiteVectorEval(true))
-		if err != nil {
-			return nil, fmt.Errorf("harness: seed %d: %w", seed, err)
-		}
-		defer vshutdown()
-		vecCacheEng, _, _, vcshutdown, err = buildEngine(nil, pax.SiteParallelism(4), pax.WithSiteVectorEval(true), pax.WithSiteCache(64))
-		if err != nil {
-			return nil, fmt.Errorf("harness: seed %d: %w", seed, err)
-		}
-		defer vcshutdown()
-	}
 	// Batch twin: the same deployment plus a coalescing window on the
 	// engine. The serial per-case runs flow through the batch-of-one fast
 	// path; the concurrent phase after the loop builds real multi-member
@@ -403,24 +383,18 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 				got.BytesSent, got.BytesRecv, len(want.Answers), len(got.Answers))
 		}
 	}
-	// cmpVector does the same for a vector-evaluator twin: byte identity of
-	// the vector Stage-1 pass means answers, visits and byte totals must
-	// match the scalar primary exactly.
-	cmpVector := func(name, query string, alg pax.Algorithm, ann bool, want *pax.Result, ve *pax.Engine) {
-		got, err := ve.RunContext(ctx, query, pax.Options{Algorithm: alg, Annotations: ann})
-		res.VectorCases++
-		if err != nil {
-			res.VectorDiffs++
-			fail("seed %d %s %v(XA=%v) %q: %s twin failed: %v", seed, opts.Transport, alg, ann, query, name, err)
-			return
-		}
-		if !slices.Equal(want.Answers, got.Answers) || got.MaxVisits != want.MaxVisits ||
-			got.BytesSent != want.BytesSent || got.BytesRecv != want.BytesRecv {
-			res.VectorDiffs++
-			fail("seed %d %s %v(XA=%v) %q: %s twin diverged (visits %d vs %d, bytes %d/%d vs %d/%d, %d vs %d answers)",
-				seed, opts.Transport, alg, ann, query, name,
-				want.MaxVisits, got.MaxVisits, want.BytesSent, want.BytesRecv,
-				got.BytesSent, got.BytesRecv, len(want.Answers), len(got.Answers))
+	// cmpStage1 checks every hosted fragment's Stage-1 pass, at the
+	// primary's hosting site, against the scalar oracle.
+	cmpStage1 := func(query string, c *xpath.Compiled, alg pax.Algorithm, ann bool) {
+		vs := parbox.NewVarScheme(c, ft.Len())
+		for _, s := range sites {
+			for _, fid := range s.FragIDs() {
+				res.VectorCases++
+				if err := checkStage1(s, ft.Frag(fid), c, vs); err != nil {
+					res.VectorDiffs++
+					fail("seed %d %s %v(XA=%v) %q: fragment %d: %v", seed, opts.Transport, alg, ann, query, fid, err)
+				}
+			}
 		}
 	}
 	// The batch twin's ledger accumulator: every byte and nanosecond of
@@ -461,7 +435,7 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 		query string
 		want  *pax.Result
 	}
-	var replays, vecReplays []replayCase
+	var replays []replayCase
 	// batchReplays remembers each query with its centralized answer for the
 	// concurrent batching phase.
 	type batchCase struct {
@@ -549,17 +523,7 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 						batchReplays = append(batchReplays, batchCase{query: query, want: want})
 					}
 				}
-				if vecEng != nil {
-					cmpVector("vector", query, alg, ann, got, vecEng)
-					// Miss-then-hit: the repeat serves Stage 1 from the
-					// vector twin's cache and must still match the scalar,
-					// uncached primary byte-for-byte.
-					cmpVector("vector+cache", query, alg, ann, got, vecCacheEng)
-					cmpVector("vector+cache repeat", query, alg, ann, got, vecCacheEng)
-					if alg == pax.PaX3 && !ann {
-						vecReplays = append(vecReplays, replayCase{query: query, want: got})
-					}
-				}
+				cmpStage1(query, c, alg, ann)
 				for _, tw := range twins {
 					tr, err := tw.eng.RunContext(ctx, query, popts)
 					if err != nil {
@@ -594,13 +558,6 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 		}
 		for _, s := range tinySites {
 			res.CacheHits += int(s.CacheStats().Hits)
-		}
-	}
-	if vecCacheEng != nil {
-		// Interleaved-query replay on the warm vector+cache twin: cache-served
-		// vector results must still be byte-identical to the cold scalar runs.
-		for _, rp := range vecReplays {
-			cmpVector("vector interleaved-replay", rp.query, pax.PaX3, false, rp.want, vecCacheEng)
 		}
 	}
 	if batchEng != nil {
@@ -683,4 +640,41 @@ func DifferentialSweep(ctx context.Context, base int64, n int, opts DiffOptions)
 		total.Merge(r)
 	}
 	return total, nil
+}
+
+// checkStage1 compares site s's Stage-1 pass over fragment f with the
+// scalar reference pass (parbox.EvalQualFragment) on everything the later
+// stages consume: the root-vector bytes the site ships, the SelQual rows
+// and the Work ledger.
+func checkStage1(s *pax.Site, f *fragment.Fragment, c *xpath.Compiled, vs parbox.VarScheme) error {
+	gotRV, got, _ := s.Stage1(f, c, vs)
+	want := parbox.EvalQualFragment(f, c, vs)
+	if got.Work != want.Work {
+		return fmt.Errorf("Stage-1 Work %d, oracle %d", got.Work, want.Work)
+	}
+	wantRV := s.ShipRootVecs(f.ID, f, want)
+	for _, v := range []struct {
+		name      string
+		got, want pax.WireVec
+	}{{"QV", gotRV.QV, wantRV.QV}, {"QDV", gotRV.QDV, wantRV.QDV}, {"RootSelQual", gotRV.RootSelQual, wantRV.RootSelQual}} {
+		if !slices.EqualFunc(v.got, v.want, bytes.Equal) {
+			return fmt.Errorf("shipped root %s bytes diverge from the oracle", v.name)
+		}
+	}
+	if (got.SelQual == nil) != (want.SelQual == nil) || len(got.SelQual) != len(want.SelQual) {
+		return fmt.Errorf("SelQual has %d rows, oracle %d", len(got.SelQual), len(want.SelQual))
+	}
+	for id, wrow := range want.SelQual {
+		grow, ok := got.SelQual[id]
+		if !ok || len(grow) != len(wrow) {
+			return fmt.Errorf("SelQual row of node %d missing or of the wrong arity", id)
+		}
+		for e := range wrow {
+			if (grow[e] == nil) != (wrow[e] == nil) ||
+				wrow[e] != nil && !bytes.Equal(boolexpr.Encode(grow[e]), boolexpr.Encode(wrow[e])) {
+				return fmt.Errorf("SelQual[%d][%d] = %v, oracle %v", id, e, grow[e], wrow[e])
+			}
+		}
+	}
+	return nil
 }

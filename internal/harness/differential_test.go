@@ -34,14 +34,14 @@ func requireCacheCorpus(t *testing.T, res *DiffResult) {
 	}
 }
 
-// requireVectorCorpus asserts the vector-vs-scalar twin comparison ran at
-// scale: at least 500 vector-twin evaluations (cold, cache-warm and
-// interleaved replays), every one identical to the scalar primary in
-// answers, visit counts and byte totals.
+// requireVectorCorpus asserts the per-fragment Stage-1 oracle check ran at
+// scale: at least 500 checks, and every fragment of every case checked
+// (at least one check per case), each identical to the scalar oracle in
+// shipped root bytes, SelQual rows and Work.
 func requireVectorCorpus(t *testing.T, res *DiffResult) {
 	t.Helper()
-	if res.VectorCases < 500 {
-		t.Errorf("vector-twin comparison covered %d cases, want >= 500", res.VectorCases)
+	if res.VectorCases < 500 || res.VectorCases < res.Cases {
+		t.Errorf("Stage-1 oracle check covered %d fragments over %d cases, want >= max(500, cases)", res.VectorCases, res.Cases)
 	}
 }
 
@@ -66,16 +66,14 @@ func requireBatchCorpus(t *testing.T, res *DiffResult) {
 // (answers and visit counts must match exactly; bytes must not shrink
 // relative to the binary+simplify primary), and every case replayed on
 // warm and eviction-pressure site-cache twins (answers, visit counts and
-// byte totals must match the uncached primary exactly), and every case
-// replayed on vector-evaluator twins — plain and site-cache-warm — which
-// must be indistinguishable from the scalar primary.
+// byte totals must match the uncached primary exactly), and every
+// fragment's Stage-1 pass checked against the scalar oracle on every case.
 func TestDifferentialLocalSeedCorpus(t *testing.T) {
 	res, err := DifferentialSweep(context.Background(), 1, 25, DiffOptions{
 		Transport:       DiffLocal,
 		CompareParallel: true,
 		CompareCodecs:   true,
 		CompareCache:    true,
-		CompareVector:   true,
 		CompareBatch:    true,
 	})
 	if err != nil {
@@ -95,7 +93,7 @@ func TestDifferentialLocalSeedCorpus(t *testing.T) {
 // per-frame accounting are in the loop, with the gob, no-simplify and
 // site-cache twins deployed as their own TCP clusters.
 func TestDifferentialTCPSeedCorpus(t *testing.T) {
-	res, err := DifferentialSweep(context.Background(), 1, 25, DiffOptions{Transport: DiffTCP, CompareCodecs: true, CompareCache: true, CompareVector: true, CompareBatch: true})
+	res, err := DifferentialSweep(context.Background(), 1, 25, DiffOptions{Transport: DiffTCP, CompareCodecs: true, CompareCache: true, CompareBatch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +117,6 @@ func TestDifferentialExtendedSweep(t *testing.T) {
 		CompareParallel: true,
 		CompareCodecs:   true,
 		CompareCache:    true,
-		CompareVector:   true,
 		CompareBatch:    true,
 		CompareEdits:    true,
 	})
@@ -128,7 +125,7 @@ func TestDifferentialExtendedSweep(t *testing.T) {
 	}
 	requireClean(t, res)
 
-	tcpRes, err := DifferentialSweep(context.Background(), 2000, 20, DiffOptions{Transport: DiffTCP, CompareParallel: true, CompareCodecs: true, CompareCache: true, CompareVector: true, CompareBatch: true, CompareEdits: true})
+	tcpRes, err := DifferentialSweep(context.Background(), 2000, 20, DiffOptions{Transport: DiffTCP, CompareParallel: true, CompareCodecs: true, CompareCache: true, CompareBatch: true, CompareEdits: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,10 +32,9 @@ import (
 //     its transport's lifetime totals exactly (cost conservation with
 //     mutations in the mix).
 //
-// Alternate seeds run the scoped/bump twins on the vector Stage-1
-// evaluator, whose cached mask state turns every invalidation offer into
-// an incremental patch — so both retention paths (label-disjoint remap and
-// vector patch) face the oracle.
+// Every cached Stage-1 entry carries its mask state, so the scoped twin
+// turns every invalidation offer into an incremental patch, and the
+// patched entries face the oracle.
 
 // randomEdit builds a valid edit for f: a small insert, a non-spine
 // delete that keeps the fragment from collapsing, or a rename, retrying
@@ -88,9 +87,6 @@ func runEditPhase(ctx context.Context, seed int64, opts DiffOptions, res *DiffRe
 	topo := pax.RoundRobin(eft, 1+r.Intn(3))
 
 	siteOpts := []pax.SiteOption{pax.SiteParallelism(4), pax.WithSiteCache(64)}
-	if seed%2 == 0 {
-		siteOpts = append(siteOpts, pax.WithSiteVectorEval(true))
-	}
 	build := func() (*pax.Engine, []*pax.Site, dist.Transport, func(), error) {
 		if opts.Transport == DiffTCP {
 			tcp, sites, shutdown, err := pax.BuildTCPCluster(topo, siteOpts...)

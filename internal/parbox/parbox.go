@@ -118,7 +118,10 @@ type FragQual struct {
 }
 
 // EvalQualFragment runs the bottom-up qualifier pass (extended ParBoX) over
-// one fragment.
+// one fragment as the literal per-node recurrence. Sites serve Stage 1 from
+// the vectorized pass (EvalQualFragmentVector / NewVectorState); this one
+// is the reference oracle the tests and the differential harness check
+// that pass against.
 func EvalQualFragment(f *fragment.Fragment, c *xpath.Compiled, vs VarScheme) *FragQual {
 	alg := FormulaAlg{}
 	nP := len(c.Preds)

@@ -199,3 +199,19 @@ func BenchmarkEvalQualFragment(b *testing.B) {
 		_ = EvalQualFragment(ft.Root(), c, vs)
 	}
 }
+
+// BenchmarkEvalQualFragmentVector is BenchmarkEvalQualFragment's input run
+// through the bit-packed pass sites serve Stage 1 from: the two side by
+// side are the scalar-vs-vector kernel comparison. The arena is built
+// once, outside the loop, as a site builds it on first Stage-1 use.
+func BenchmarkEvalQualFragmentVector(b *testing.B) {
+	tr := testutil.RandomTree(5, 10000)
+	ft := fragment.Whole(tr)
+	c := xpath.MustCompile(`[//a[b = "x"]/c]`)
+	vs := NewVarScheme(c, 1)
+	ft.Root().Arena()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = EvalQualFragmentVector(ft.Root(), c, vs)
+	}
+}

@@ -169,8 +169,8 @@ func (e *VectorState) sweep() {
 
 // EvalQualFragmentVector runs the bottom-up qualifier pass over the
 // fragment's arena layout, producing a FragQual byte-identical to
-// EvalQualFragment's (see the file comment for why). Selected by the
-// vector-evaluator Site option; default remains the scalar pass.
+// EvalQualFragment's (see the file comment for why). This is the Stage-1
+// pass sites serve from.
 func EvalQualFragmentVector(f *fragment.Fragment, c *xpath.Compiled, vs VarScheme) *FragQual {
 	return NewVectorState(f, c, vs).FragQual()
 }

@@ -547,7 +547,7 @@ func (s *Site) batchQuals(msgs []any, handled []bool, resp *BatchStageResp, fail
 			pr.seed(mb.sess)
 		}
 		if s.cache != nil {
-			s.cache.Put(key, newQualEntry(ms[0].sess, pr), pr.compute, k.gen)
+			s.cache.Put(key, newQualEntry(pr), pr.compute, k.gen)
 		}
 		deliver(pr.roots, stageCompute(start, pr.compute, pr.parWall).ComputeNanos)
 	}

@@ -127,101 +127,48 @@ func TestEditScheduleMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestEditScopedRetentionScalar pins the delta-scoping win under the
-// scalar evaluator: an edit whose labels are disjoint from the query's
-// qualifier footprint retains the cached Stage-1 entry (remap path), the
-// next repetition hits, and answers still match the centralized oracle.
-// An overlapping edit must drop the entry instead.
-func TestEditScopedRetentionScalar(t *testing.T) {
+// TestEditVectorPatchRetention: every cached entry retains its mask
+// state, so every edit — label-disjoint from the query's qualifier
+// footprint or overlapping it — is repaired in place by the incremental
+// patch: nothing is dropped, Retained stays 0, the next repetition hits,
+// and the patched entry's answers match a fresh centralized evaluation
+// (parbox's patch-equivalence, observed end to end).
+func TestEditVectorPatchRetention(t *testing.T) {
 	eng, ft, sites := cachedCluster(t, 2, 32, 0)
 	query := `//broker[//stock/code = "GOOG"]/name` // footprint {broker?, stock, code} — no "patch"/"v"
 	if _, err := eng.Run(query, Options{Algorithm: PaX3}); err != nil {
 		t.Fatal(err)
 	}
-	before := sumCacheStats(sites)
 
-	// Label-disjoint insert: provably cannot change any qualifier bit.
-	res := applyBoth(t, eng, ft, fragment.RootFrag,
-		fragment.Edit{Op: fragment.EditInsert, Node: 0, Pos: 0, Subtree: xmltree.El("patch", xmltree.ElT("v", "7"))})
-	if res.Retained < 1 || res.Dropped != 0 || res.Patched != 0 {
-		t.Fatalf("disjoint edit: result %+v, want >=1 retained and nothing dropped/patched", res)
+	edits := []struct {
+		name string
+		sub  *xmltree.Node
+	}{
+		{"label-disjoint", xmltree.El("patch", xmltree.ElT("v", "7"))},
+		// A new stock with the matching code can change qualifier bits.
+		{"footprint-overlapping", xmltree.El("stock", xmltree.ElT("code", "GOOG"))},
 	}
-	s := sumCacheStats(sites)
-	if s.ScopedRetained < 1 || s.ScopedInvalidations != 0 {
-		t.Fatalf("cache stats after disjoint edit: %+v, want scoped retention only", s)
-	}
+	for _, ed := range edits {
+		before := sumCacheStats(sites)
+		res := applyBoth(t, eng, ft, fragment.RootFrag,
+			fragment.Edit{Op: fragment.EditInsert, Node: 0, Pos: 0, Subtree: ed.sub})
+		if res.Patched < 1 || res.Dropped != 0 || res.Retained != 0 {
+			t.Fatalf("%s edit: result %+v, want the entry patched", ed.name, res)
+		}
+		if s := sumCacheStats(sites); s.ScopedRetained <= before.ScopedRetained || s.ScopedInvalidations != 0 {
+			t.Fatalf("%s edit: cache stats %+v, want scoped retention only", ed.name, s)
+		}
 
-	warm, err := eng.Run(query, Options{Algorithm: PaX3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sumCacheStats(sites); got.Hits != before.Hits+int64(len(sites)) {
-		t.Errorf("warm run after disjoint edit: hits %d, want %d (retained entries must serve)",
-			got.Hits, before.Hits+int64(len(sites)))
-	}
-	if got, want := origIDs(ft, warm.Answers), oracle(t, ft.Reassemble(), query); !testutil.EqualIDs(got, want) {
-		t.Errorf("retained entry served wrong answers: %v, oracle %v", got, want)
-	}
-
-	// Overlapping insert: a "code" element lands inside the footprint.
-	res = applyBoth(t, eng, ft, fragment.RootFrag,
-		fragment.Edit{Op: fragment.EditInsert, Node: 0, Pos: 0, Subtree: xmltree.El("code")})
-	if res.Dropped < 1 || res.Retained != 0 {
-		t.Fatalf("overlapping edit: result %+v, want the entry dropped", res)
-	}
-	after, err := eng.Run(query, Options{Algorithm: PaX3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := origIDs(ft, after.Answers), oracle(t, ft.Reassemble(), query); !testutil.EqualIDs(got, want) {
-		t.Errorf("answers after drop-and-recompute: %v, oracle %v", got, want)
-	}
-}
-
-// TestEditVectorPatchRetention: under the vector evaluator every cached
-// entry retains its mask state, so even a footprint-overlapping edit is
-// repaired in place by the incremental patch — nothing is dropped, the
-// next repetition hits, and the patched entry's answers match a fresh
-// centralized evaluation (parbox's patch-equivalence, observed end to
-// end).
-func TestEditVectorPatchRetention(t *testing.T) {
-	tr := testutil.PaperTree()
-	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 4, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo := RoundRobin(ft, 2)
-	local, sites := BuildLocalCluster(topo, WithSiteCache(32), WithSiteVectorEval(true))
-	eng := NewEngine(topo, local)
-
-	query := `//broker[//stock/code = "GOOG"]/name`
-	if _, err := eng.Run(query, Options{Algorithm: PaX3}); err != nil {
-		t.Fatal(err)
-	}
-	before := sumCacheStats(sites)
-
-	// The insert deliberately hits the qualifier footprint: a new stock
-	// with the matching code can change qualifier bits, and only the patch
-	// path may keep the entry through that.
-	res := applyBoth(t, eng, ft, fragment.RootFrag,
-		fragment.Edit{Op: fragment.EditInsert, Node: 0, Pos: 0,
-			Subtree: xmltree.El("stock", xmltree.ElT("code", "GOOG"))})
-	if res.Patched < 1 || res.Dropped != 0 {
-		t.Fatalf("vector-backed edit: result %+v, want the entry patched", res)
-	}
-	if s := sumCacheStats(sites); s.ScopedRetained < 1 {
-		t.Fatalf("cache stats after patch: %+v, want scoped retention", s)
-	}
-
-	warm, err := eng.Run(query, Options{Algorithm: PaX3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sumCacheStats(sites); got.Hits != before.Hits+int64(len(sites)) {
-		t.Errorf("warm run after patch: hits %d, want %d", got.Hits, before.Hits+int64(len(sites)))
-	}
-	if got, want := origIDs(ft, warm.Answers), oracle(t, ft.Reassemble(), query); !testutil.EqualIDs(got, want) {
-		t.Errorf("patched entry served wrong answers: %v, oracle %v", got, want)
+		warm, err := eng.Run(query, Options{Algorithm: PaX3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sumCacheStats(sites); got.Hits != before.Hits+int64(len(sites)) {
+			t.Errorf("%s edit: warm run hits %d, want %d", ed.name, got.Hits, before.Hits+int64(len(sites)))
+		}
+		if got, want := origIDs(ft, warm.Answers), oracle(t, ft.Reassemble(), query); !testutil.EqualIDs(got, want) {
+			t.Errorf("%s edit: patched entry served wrong answers: %v, oracle %v", ed.name, got, want)
+		}
 	}
 }
 
@@ -277,8 +224,9 @@ func TestEditVersionProtocol(t *testing.T) {
 
 // TestEditOneVersionAnswersAndStalePut: a session created before an edit
 // keeps answering from its fragment snapshot — byte-identical Stage-1
-// roots — and its recomputed result must NOT be re-cached (the Put was
-// evaluated against pre-edit fragments; the generation fence drops it).
+// roots — and its recomputed result must NOT be re-cached over the
+// patched entry (the Put was evaluated against pre-edit fragments; the
+// generation fence drops it).
 func TestEditOneVersionAnswersAndStalePut(t *testing.T) {
 	tr := testutil.PaperTree()
 	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 3, 9))
@@ -298,19 +246,29 @@ func TestEditOneVersionAnswersAndStalePut(t *testing.T) {
 		t.Fatalf("cold qual pass cached %d entries, want 1", s.cache.Len())
 	}
 
-	// Footprint-overlapping edit: the cached entry must drop, and the
-	// generation advances.
+	// Footprint-overlapping edit: the cached entry is patched into the
+	// new generation, which advances.
 	req, err := editReqOf(fragment.RootFrag,
 		fragment.Edit{Op: fragment.EditInsert, Node: 0, Pos: 0, Subtree: xmltree.El("code")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.BaseVersion = ft.Frags[fragment.RootFrag].Version
-	if _, err := s.handleEdit(req); err != nil {
+	eresp, err := s.handleEdit(req)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s.cache.Len() != 0 {
-		t.Fatalf("overlapping edit left %d cached entries, want 0", s.cache.Len())
+	if eresp.Patched != 1 || s.cache.Len() != 1 {
+		t.Fatalf("overlapping edit: resp %+v, %d cached entries; want the entry patched", eresp, s.cache.Len())
+	}
+	cq, err := s.compile(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := qualKey{fp: cq.fp, numFrags: n}
+	patched, ok := s.cache.GetAt(key, s.cache.Generation())
+	if !ok {
+		t.Fatal("patched entry not served at the new generation")
 	}
 
 	// The in-flight query re-asks for Stage 1 (as a replay after failover
@@ -323,16 +281,17 @@ func TestEditOneVersionAnswersAndStalePut(t *testing.T) {
 	if !reflect.DeepEqual(resp1.Roots, resp2.Roots) {
 		t.Error("pre-edit session shipped different roots after the edit — snapshot isolation broken")
 	}
-	if s.cache.Len() != 0 {
-		t.Fatalf("stale Put landed: %d cached entries, want 0", s.cache.Len())
+	if e, ok := s.cache.GetAt(key, s.cache.Generation()); !ok || e != patched || s.cache.Len() != 1 {
+		t.Fatal("stale Put landed over the patched entry")
 	}
 
-	// A fresh query caches the post-edit evaluation as usual.
-	if _, err := s.handleQual(&QualStageReq{QID: 2, Query: query, NumFrags: n}); err != nil {
+	// A fresh query is served the patched post-edit entry.
+	resp3, err := s.handleQual(&QualStageReq{QID: 2, Query: query, NumFrags: n})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s.cache.Len() != 1 {
-		t.Fatalf("post-edit qual pass cached %d entries, want 1", s.cache.Len())
+	if !reflect.DeepEqual(resp3.Roots, patched.roots) {
+		t.Error("post-edit query was not served the patched entry")
 	}
 }
 

@@ -214,16 +214,18 @@ type EditReq struct {
 
 // EditResp reports an applied (or idempotently replayed) edit: the
 // fragment's new version and what the delta-scoped cache invalidation did
-// to the site's memoized Stage-1 entries — dropped, retained by the
-// label-disjointness remap, or repaired by patching a retained vector
-// state. A replayed edit reports zero counters.
+// to the site's memoized Stage-1 entries — dropped, or repaired by patching
+// the entry's retained mask state. A replayed edit reports zero counters.
 type EditResp struct {
 	StageCompute
 	NewVersion uint64
 	Applied    bool
 	Dropped    int64
-	Retained   int64
-	Patched    int64
+	// Retained always reads 0: every cached entry carries mask state and
+	// is Patched. The field stays on the wire, unchanged, for
+	// compatibility.
+	Retained int64
+	Patched  int64
 }
 
 // FetchReq asks a site to ship its fragments wholesale (NaiveCentralized).

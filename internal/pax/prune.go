@@ -17,10 +17,7 @@ import (
 // it is alive. Relevance is upward-closed along the fragment tree: a
 // relevant fragment's parent is always relevant.
 //
-// The analysis runs entirely on the coordinator, before any site work, so
-// it is independent of which stage1Evaluator (scalar or vector) the sites
-// run: pruning decisions, like every other downstream consumer, see
-// byte-identical Stage-1 results either way.
+// The analysis runs entirely on the coordinator, before any site work.
 type Relevance struct {
 	Relevant []bool   // indexed by FragID
 	Inits    [][]bool // exact init vectors; valid only when Exact

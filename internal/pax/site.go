@@ -37,10 +37,6 @@ type Site struct {
 	compiled *lru[string, compiledQuery]
 	par      int
 	simplify bool
-	// eval is the Stage-1 qualifier evaluator — scalar by default, the
-	// bit-packed vector pass when SetVectorEval(true). Both produce
-	// byte-identical results, so the choice is invisible downstream.
-	eval stage1Evaluator
 	// cache, when enabled, memoizes Stage-1 (qualifier pass) results per
 	// compiled query so repeated queries skip the fragment traversal
 	// entirely — see qualcache.go and package sitecache. Nil = disabled.
@@ -124,7 +120,6 @@ func NewSite(id dist.SiteID, frags []*fragment.Fragment) *Site {
 		compiled: newLRU[string, compiledQuery](defaultSiteCompileCache),
 		par:      runtime.GOMAXPROCS(0),
 		simplify: true,
-		eval:     scalarEvaluator{},
 		sessions: make(map[QueryID]*session),
 	}
 	for _, f := range frags {
@@ -151,20 +146,6 @@ func (s *Site) SetParallelism(n int) {
 // starts serving.
 func (s *Site) SetSimplify(on bool) {
 	s.simplify = on
-}
-
-// SetVectorEval selects the Stage-1 qualifier evaluator: the bit-packed
-// columnar pass over per-fragment arenas when on, the per-node recursive
-// pass otherwise (the default). The two are byte-identical in every output
-// — residual vectors, visit counts, wire bytes, the Work ledger — so
-// toggling this never changes an answer or a cost; only site-side compute
-// time. Call before the site starts serving.
-func (s *Site) SetVectorEval(on bool) {
-	if on {
-		s.eval = vectorEvaluator{}
-	} else {
-		s.eval = scalarEvaluator{}
-	}
 }
 
 // shipSimplifier returns a fresh per-fragment Simplifier, or nil when the
@@ -394,13 +375,12 @@ func (s *Site) dropSessionIfDone(qid QueryID, sess *session) {
 // sweep's cost. roots and quals are immutable once built and may be shared
 // by any number of sessions (exactly like a cache entry).
 type qualPassResult struct {
-	frags   []fragment.FragID
-	roots   []WireRootVecs
-	quals   []*parbox.FragQual // frags order
-	// states holds the evaluator's retained per-fragment state in frags
-	// order — the vector evaluator's mask state, nil under the scalar
-	// evaluator. Cached alongside the entry so the delta-scoped
-	// invalidation can Patch instead of drop.
+	frags []fragment.FragID
+	roots []WireRootVecs
+	quals []*parbox.FragQual // frags order
+	// states holds the retained per-fragment mask state in frags order,
+	// cached alongside the entry so the delta-scoped invalidation can
+	// Patch it through an edit instead of dropping the entry.
 	states  []*parbox.VectorState
 	compute time.Duration
 	parWall time.Duration
@@ -416,13 +396,13 @@ func (p *qualPassResult) work() int64 {
 	return w
 }
 
-// shipRootVecs renders one fragment's Stage-1 result in wire form. One
+// ShipRootVecs renders one fragment's Stage-1 result in wire form. One
 // simplifier across the fragment's root vectors: QV and QDV entries share
 // sub-structure heavily, so interning across the pair shrinks the shipped
 // bytes the most. Both the fresh sweep and the patched-entry rebuild go
 // through here, so a patched cache entry ships bytes identical to a fresh
 // evaluation.
-func (s *Site) shipRootVecs(fid fragment.FragID, f *fragment.Fragment, fq *parbox.FragQual) WireRootVecs {
+func (s *Site) ShipRootVecs(fid fragment.FragID, f *fragment.Fragment, fq *parbox.FragQual) WireRootVecs {
 	sim := s.shipSimplifier()
 	rv := WireRootVecs{
 		Frag: fid,
@@ -446,6 +426,18 @@ func (s *Site) shipRootVecs(fid fragment.FragID, f *fragment.Fragment, fq *parbo
 	return rv
 }
 
+// Stage1 runs the site's Stage-1 qualifier pass over one fragment — the
+// bit-packed columnar pass over the fragment's arena
+// (parbox.NewVectorState), its arena built on first use — and returns the
+// result with its wire form and the retained mask state. It is the one
+// Stage-1 path a site serves from; differential harnesses call it to
+// check the pass fragment by fragment against an oracle.
+func (s *Site) Stage1(f *fragment.Fragment, c *xpath.Compiled, vs parbox.VarScheme) (WireRootVecs, *parbox.FragQual, *parbox.VectorState) {
+	st := parbox.NewVectorState(f, c, vs)
+	fq := st.FragQual()
+	return s.ShipRootVecs(f.ID, f, fq), fq, st
+}
+
 // qualPass runs the Stage-1 qualifier sweep over every fragment of the
 // session's snapshot, fragments in parallel. On error the cost fields of
 // the partial result are still valid — the fragments already evaluated did
@@ -459,9 +451,8 @@ func (s *Site) qualPass(sess *session) (*qualPassResult, error) {
 	}
 	frags := sess.fragIDs
 	outs, compute, parWall, err := evalFrags(sess, frags, func(fid fragment.FragID) (qualOut, error) {
-		f := sess.frags[fid]
-		fq, st := s.eval.EvalQualKeep(f, sess.c, sess.vs)
-		return qualOut{rv: s.shipRootVecs(fid, f, fq), fq: fq, st: st}, nil
+		rv, fq, st := s.Stage1(sess.frags[fid], sess.c, sess.vs)
+		return qualOut{rv: rv, fq: fq, st: st}, nil
 	})
 	res := &qualPassResult{frags: frags, compute: compute, parWall: parWall}
 	if err != nil {
@@ -525,7 +516,7 @@ func (s *Site) handleQual(req *QualStageReq) (*QualStageResp, error) {
 	if s.cache != nil {
 		// The entry's cost is the fragment-evaluation time this miss paid —
 		// what every future hit avoids.
-		s.cache.Put(key, newQualEntry(sess, pr), pr.compute, sess.gen)
+		s.cache.Put(key, newQualEntry(pr), pr.compute, sess.gen)
 	}
 	resp.StageCompute = stageCompute(start, pr.compute, pr.parWall)
 	return resp, nil
@@ -810,16 +801,13 @@ func (s *Site) handleEdit(req *EditReq) (*EditResp, error) {
 		// advances regardless, so Puts computed against the pre-edit
 		// fragments can never land afterwards.
 		s.cache.Invalidate(func(_ qualKey, old *qualEntry) (*qualEntry, bool) {
-			ne, kind := s.retainEntry(old, req.Frag, nf, delta)
-			switch kind {
-			case retainPatched:
+			ne, ok := s.retainEntry(old, req.Frag, nf, delta)
+			if ok {
 				resp.Patched++
-			case retainRemapped:
-				resp.Retained++
-			default:
+			} else {
 				resp.Dropped++
 			}
-			return ne, ne != nil
+			return ne, ok
 		})
 	}
 	resp.NewVersion = nf.Version

@@ -34,11 +34,7 @@
 // Values must be immutable once inserted: a hit is shared by every request
 // that receives it, concurrently. In paxq the cached value is a set of
 // wire-encoded residual formula vectors plus the per-node qualifier
-// formulas (immutable DAGs), both safe to share. The key deliberately does
-// NOT include which Stage-1 evaluator produced the entry: the scalar and
-// the vectorized (arena-backed) evaluators are byte-identical in every
-// cached field, so entries are interchangeable between them — a site that
-// toggles pax.Site.SetVectorEval serves its existing entries unchanged.
+// formulas (immutable DAGs), both safe to share.
 //
 // # Cost accounting
 //
